@@ -74,11 +74,12 @@ _ITERS_PER_SECOND = get_registry().gauge(
     "cgra_iterations_per_second", "most recent bulk-run iteration throughput"
 )
 
-_ENGINES = ("interpreted", "compiled", "vector", "auto")
+_ENGINES = ("interpreted", "compiled")
 
 #: Session-wide default used when an executor is constructed with
-#: ``engine=None`` (the CLI's ``--engine`` flag sets this).
-_DEFAULT_ENGINE = "interpreted"
+#: ``engine=None`` (the CLI's ``--engine`` flag sets this).  The compiled
+#: engine is bit-exact with the interpreter, which stays the test oracle.
+_DEFAULT_ENGINE = "compiled"
 
 
 def set_default_engine(name: str) -> None:
@@ -108,8 +109,7 @@ def merged_entries(schedule: Schedule) -> list:
 
     Same ordering as the interpreter: global tick order, ties broken by
     node id (tied ops are independent on legal schedules).  Each entry
-    is ``(tick, Op, node_id, operands, io_id)`` — the flat program the
-    static analyses in :mod:`repro.cgra.verify` consume.
+    is ``(tick, Op, node_id, operands, io_id)``.
     """
     entries = []
     for image in build_context_images(schedule).values():
@@ -117,10 +117,6 @@ def merged_entries(schedule: Schedule) -> list:
             entries.append((e.tick, Op(e.op), e.node_id, tuple(e.operands), e.io_id))
     entries.sort(key=lambda e: (e[0], e[2]))
     return entries
-
-
-#: Backwards-compatible private alias (public since the dependence pass).
-_merged_entries = merged_entries
 
 
 class _CodeEmitter:
@@ -279,7 +275,6 @@ class CompiledProgram:
         self._step_batched_fast = None
         self.source_batched: str | None = None
         self.source_batched_fast: str | None = None
-        self._certificate = None
         if _OBS.enabled:
             _PROGRAMS_COMPILED.inc(precision=precision)
 
@@ -322,21 +317,6 @@ class CompiledProgram:
                 self.source_batched_fast, "batched-fast", batched=True
             )
         return self._step_batched_fast
-
-    @property
-    def certificate(self):
-        """Vectorization certificate of this program (derived on first use).
-
-        The :class:`~repro.cgra.verify.dependence.VectorizationCertificate`
-        partitioning the flat program into chunkable/sequential segments —
-        the seam the future array-lowered engine consumes.  Purely static;
-        cached per program.
-        """
-        if self._certificate is None:
-            from repro.cgra.verify.dependence import certify_vectorization
-
-            self._certificate = certify_vectorization(self.schedule).certificate
-        return self._certificate
 
     def initial_slots(self, params: dict[str, float]) -> list:
         """Fresh register file with constants/params/PHI inits loaded."""
@@ -416,7 +396,6 @@ class BatchedCgraExecutor:
         params: dict | None = None,
         precision: str = "single",
         verify: bool = False,
-        engine: str | None = None,
     ) -> None:
         if verify:
             from repro.cgra.verify import Severity, verify_schedule
@@ -433,16 +412,6 @@ class BatchedCgraExecutor:
         self.bus = bus
         self.batch = int(bus.batch)
         self.precision = precision
-        # The batched executor is inherently compiled; the engine seam
-        # only selects whether time is chunked on top ("vector"), planned
-        # per run ("auto") or stepped per cycle (anything else, including
-        # the session default "interpreted", which has no batched
-        # counterpart).
-        resolved = resolve_engine(engine)
-        self.engine = resolved if resolved in ("vector", "auto") else "compiled"
-        #: Most recent autotune decision ("auto" engine only).
-        self.last_plan = None
-        self._plan = None
         self._program = compile_program(schedule, precision)
         self._ftype = self._program.ftype
         params = dict(params or {})
@@ -546,76 +515,7 @@ class BatchedCgraExecutor:
             raise ExecutionError("n_iterations must be non-negative")
         if n_iterations == 0:
             return
-        if self.engine == "vector":
-            self._run_vector(n_iterations)
-            return
-        if self.engine == "auto" and n_iterations >= 8:
-            from repro.cgra.autotune import plan_for
-
-            plan = plan_for(self._program, self.batch, n_iterations)
-            self.last_plan = plan
-            if plan.engine == "vector":
-                self._plan = plan
-                self._run_vector(n_iterations)
-                return
         self._run_batched(n_iterations)
-
-    def _run_vector(self, n_iterations: int) -> None:
-        """Chunked ``[B, T]`` run; falls back to per-cycle batched steps
-        for uncertified programs, small runs and chunk tails."""
-        from repro.cgra.engine_vector import MIN_CHUNK, get_vector_program
-
-        vp = get_vector_program(self._program)
-        if vp.ok and not vp._oracle_done:
-            # The oracle's reference run is scalar: lane-0 parameters.
-            vp.ensure_oracle(
-                {k: float(np.asarray(v).reshape(-1)[0]) for k, v in self._params.items()}
-            )
-        if not vp.ok or n_iterations < MIN_CHUNK:
-            self._run_batched(n_iterations)
-            return
-        if self._plan is not None:
-            hint = self._plan.chunk_elems
-        else:
-            from repro.cgra.autotune import chunk_elems_hint
-
-            hint = chunk_elems_hint()
-        max_t = vp.max_chunk(self.batch, hint)
-        done = 0
-        chunks = 0
-        import time as _time
-
-        t0 = _time.perf_counter()
-        try:
-            while n_iterations - done >= MIN_CHUNK:
-                T = min(max_t, n_iterations - done)
-                progress = [0]
-                try:
-                    vp.run_chunk(
-                        self._slots, self.bus, T, self.iterations + done,
-                        progress, batched=True, batch=self.batch,
-                    )
-                finally:
-                    done += progress[0]
-                chunks += 1
-        finally:
-            self.iterations += done
-            if done:
-                self.actuator_write_ticks = dict(self._program.actuator_write_ticks)
-            if _OBS.enabled and done:
-                elapsed = _time.perf_counter() - t0
-                _ENGINE_ITERATIONS.inc(done * self.batch, engine="vector")
-                if elapsed > 0.0:
-                    _ITERS_PER_SECOND.set(done * self.batch / elapsed, engine="vector")
-                if _OBS.profile:
-                    record_program(
-                        self.graph.name, "vector", done, elapsed,
-                        self._program.op_class_counts, lanes=self.batch,
-                        segments=vp.segment_units(done, chunks),
-                    )
-        remainder = n_iterations - done
-        if remainder:
-            self._run_batched(remainder)
 
     def _run_batched(self, n_iterations: int) -> None:
         # Same fast/traced split as the scalar engine: all but the last

@@ -32,7 +32,6 @@ __all__ = [
     "SENSOR_REF_BUFFER",
     "SENSOR_GAP_BUFFER",
     "ACTUATOR_DELTA_T",
-    "ACTUATOR_MONITOR",
 ]
 
 #: Averaged revolution period of the reference signal, in seconds.
@@ -45,9 +44,6 @@ SENSOR_GAP_BUFFER = 2
 #: Δt output: arrival-time offset of bunch *k* — the framework adds the
 #: bunch index to this base id, one actuator per simulated bunch.
 ACTUATOR_DELTA_T = 16
-#: Monitoring output (phase difference or mirrored signal).
-ACTUATOR_MONITOR = 15
-
 
 class SensorBus:
     """Id-addressed sensor/actuator registry.

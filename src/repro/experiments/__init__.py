@@ -24,7 +24,6 @@ from repro.experiments.reconfig import reconfiguration_table
 from repro.experiments.rampup import RampUpScenario, rampup_run
 from repro.experiments.landau import landau_damping_comparison
 from repro.experiments.dual_harmonic_study import dual_harmonic_landau_study
-from repro.experiments.runner import run_experiment
 
 __all__ = [
     "MDE_DATE",
@@ -45,3 +44,13 @@ __all__ = [
     "dual_harmonic_landau_study",
     "run_experiment",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy so ``python -m repro.experiments.runner`` does not find the
+    # runner already imported by its own package (runpy RuntimeWarning).
+    if name == "run_experiment":
+        from repro.experiments.runner import run_experiment
+
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,9 +27,10 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.cgra.engine import resolve_engine
 from repro.constants import deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.hil.framework import FpgaFramework, FrameworkConfig
 from repro.obs import get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
@@ -71,11 +72,10 @@ class SampleAccurateBenchConfig:
             raise ConfigurationError("detector window must be >= 1 revolution")
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
-        if self.engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.engine!r}"
-            )
+        try:
+            resolve_engine(self.engine)
+        except ExecutionError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 @dataclass

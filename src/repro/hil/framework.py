@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cgra.engine import resolve_engine
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -41,7 +42,7 @@ from repro.cgra.sensor import (
     SENSOR_REF_BUFFER,
     SensorBus,
 )
-from repro.errors import ConfigurationError, HilError
+from repro.errors import ConfigurationError, ExecutionError, HilError
 from repro.hil.realtime import DeadlineMonitor
 from repro.hil.softcore import DramRecorder, ParameterInterface
 from repro.obs import get_registry, get_tracer
@@ -113,11 +114,10 @@ class FrameworkConfig:
             )
         if self.gap_volts_per_adc_volt <= 0 or self.ref_volts_per_adc_volt <= 0:
             raise ConfigurationError("voltage scales must be positive")
-        if self.engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.engine!r}"
-            )
+        try:
+            resolve_engine(self.engine)
+        except ExecutionError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 class FpgaFramework:

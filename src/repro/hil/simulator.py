@@ -31,6 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.cgra.engine import resolve_engine
 from repro.cgra.executor import CgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
@@ -43,7 +44,7 @@ from repro.cgra.sensor import (
 )
 from repro.constants import SPEED_OF_LIGHT, TWO_PI, deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
-from repro.errors import ConfigurationError, HilError
+from repro.errors import ConfigurationError, ExecutionError, HilError
 from repro.faults.spec import FaultSpec
 from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.obs import get_registry, get_tracer, record_hil_run
@@ -127,11 +128,10 @@ class HilConfig:
     def __post_init__(self) -> None:
         if self.engine not in ("python", "cgra"):
             raise ConfigurationError(f"engine must be 'python' or 'cgra', got {self.engine!r}")
-        if self.cgra_engine not in (None, "interpreted", "compiled", "vector", "auto"):
-            raise ConfigurationError(
-                "cgra_engine must be None, 'interpreted', 'compiled', 'vector' or 'auto', "
-                f"got {self.cgra_engine!r}"
-            )
+        try:
+            resolve_engine(self.cgra_engine)
+        except ExecutionError as exc:
+            raise ConfigurationError(f"cgra_engine: {exc}") from None
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:

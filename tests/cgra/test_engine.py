@@ -317,6 +317,45 @@ class TestEngineSelection:
         with pytest.raises(ExecutionError):
             CgraExecutor(model.schedule, bus, _beam_params(model), engine="llvm")
 
+    def test_session_default_is_compiled(self):
+        from repro.cgra import engine
+
+        assert engine._DEFAULT_ENGINE == "compiled"
+        assert engine._ENGINES == ("interpreted", "compiled")
+
+    @pytest.mark.parametrize("name", ["vector", "auto"])
+    @pytest.mark.parametrize(
+        "surface", ["HilConfig", "SampleAccurateBenchConfig", "FrameworkConfig", "cli"]
+    )
+    def test_retired_engines_rejected_at_construction(self, surface, name, tmp_path):
+        """One engine vocabulary: every config and the runner reject the
+        retired tiers up front, naming the two surviving engines."""
+        from repro.errors import ConfigurationError
+        from repro.physics import KNOWN_IONS, SIS18
+
+        if surface == "cli":
+            from repro.experiments.runner import main
+
+            with pytest.raises(SystemExit) as exc:
+                main(["fig1", "--quick", "--out", str(tmp_path), "--engine", name])
+            assert exc.value.code == 2
+            return
+        if surface == "HilConfig":
+            from repro.hil.simulator import HilConfig as cls
+
+            kwargs = {"engine": "cgra", "cgra_engine": name}
+        elif surface == "SampleAccurateBenchConfig":
+            from repro.hil.closed_loop import SampleAccurateBenchConfig as cls
+
+            kwargs = {"engine": name}
+        else:
+            from repro.hil.framework import FrameworkConfig as cls
+
+            kwargs = {"harmonic": 4, "gap_volts_per_adc_volt": 1.0,
+                      "ref_volts_per_adc_volt": 1.0, "engine": name}
+        with pytest.raises(ConfigurationError, match="'interpreted', 'compiled'"):
+            cls(ring=SIS18, ion=KNOWN_IONS["14N7+"], **kwargs)
+
     def test_program_is_cached_per_schedule(self):
         model = compile_beam_model(n_bunches=1)
         p1 = compile_program(model.schedule, "single")

@@ -41,34 +41,30 @@ class TestCsvBytePinning:
         ).read_bytes()
 
     def test_jitter_csv_identical_across_engines(self, tmp_path):
-        """The engine seam never changes results: bit-exact tiers means
-        byte-identical CSVs for every --engine choice (and the vector
-        tier composes with --jobs without changing a byte either)."""
+        """The engine seam never changes results: bit-exact engines mean
+        byte-identical CSVs for every --engine choice (and the compiled
+        engine composes with --jobs without changing a byte either)."""
         from repro.cgra import get_default_engine, set_default_engine
 
         saved = get_default_engine()
         try:
             outputs = {}
-            for engine in ("interpreted", "compiled", "vector", "auto"):
+            for engine in ("interpreted", "compiled"):
                 out = tmp_path / engine
                 assert main(["jitter", "--out", str(out), "--quick",
                              "--engine", engine]) == 0
                 outputs[engine] = (out / "jitter.csv").read_bytes()
             assert outputs["compiled"] == outputs["interpreted"]
-            assert outputs["vector"] == outputs["interpreted"]
-            assert outputs["auto"] == outputs["interpreted"]
-            pooled = tmp_path / "vector_pooled"
+            pooled = tmp_path / "compiled_pooled"
             assert main(["jitter", "--out", str(pooled), "--quick",
-                         "--engine", "vector", "--jobs", "2"]) == 0
+                         "--engine", "compiled", "--jobs", "2"]) == 0
             assert (pooled / "jitter.csv").read_bytes() == outputs["interpreted"]
         finally:
             set_default_engine(saved)
 
     def test_sweep_csv_identical_across_engines_and_jobs(self, tmp_path):
-        """The sweep defaults to engine=auto; the adaptive planner (and
-        the plan bundle shipped to pool workers) never changes bytes —
-        explicit compiled, explicit auto and the pooled default all
-        merge to the same CSV."""
+        """Explicit compiled, the serial default and the pooled default
+        all merge to the same sweep CSV."""
         from repro.cgra import get_default_engine, set_default_engine
 
         saved = get_default_engine()
@@ -78,8 +74,8 @@ class TestCsvBytePinning:
                          "--engine", "compiled"]) == 0
             want = (ref / "sweep_jump_amplitude.csv").read_bytes()
             for label, extra in (
-                ("auto_serial", ["--engine", "auto"]),
-                ("default_pooled", ["--jobs", "2"]),  # sweep default = auto
+                ("default_serial", []),
+                ("default_pooled", ["--jobs", "2"]),
             ):
                 out = tmp_path / label
                 assert main(["sweep", "--out", str(out), "--quick", *extra]) == 0

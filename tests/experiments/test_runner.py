@@ -67,6 +67,24 @@ class TestCli:
         assert main(["fig1", "--out", str(tmp_path), "--quick", "--verbose"]) == 0
         assert "starting fig1" in capsys.readouterr().err
 
+    def test_module_entrypoint_has_no_runpy_warning(self):
+        """``python -m repro.experiments.runner`` must not find the runner
+        already imported by its own package (runpy RuntimeWarning)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments.runner", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_unknown_experiment_exit_code(self, tmp_path, capsys):
         assert main(["bogus", "--out", str(tmp_path)]) == 2
         assert "ERROR" in capsys.readouterr().err
