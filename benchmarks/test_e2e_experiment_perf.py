@@ -7,12 +7,16 @@ batched bench) and times it end to end — config build, batched HIL run,
 trace extraction, shard merge — exactly the way the sweep experiment
 dispatches it.  Writes ``BENCH_e2e.json`` (results dir + repo root).
 
+The sweep runs twice per configuration: on the native revolution loop
+(the production path, ``e2e/sweep_native``) and with the native library
+switched off, on the Python ``run_driven`` oracle (``e2e/sweep_oracle``).
+
 Two gates:
 
 * **Parity, unconditional** — the merged phase traces and the emitted
-  CSV must be byte-identical across ``jobs`` {1, 2} on the compiled
-  engine.  A wall-clock win that changes a byte is a correctness bug,
-  not a speedup.
+  CSV must be byte-identical across ``jobs`` {1, 2} and between the
+  native loop and the oracle.  A wall-clock win that changes a byte is
+  a correctness bug, not a speedup.
 * **Speed, fingerprint-gated** — on the machine the committed baseline
   was measured on, the compiled sweep must beat the baseline mean by
   >= 2x.  Other machines report the real ratio without asserting (their
@@ -86,7 +90,7 @@ def _csv_bytes(tmp_path: Path, label: str, trace: np.ndarray) -> bytes:
     return path.read_bytes()
 
 
-def test_e2e_sweep_speed_and_parity(tmp_path):
+def test_e2e_sweep_speed_and_parity(tmp_path, monkeypatch):
     baseline = json.loads(_BASELINE.read_text())
     assert baseline["workload"] == {
         "n_amps": N_AMPS,
@@ -114,6 +118,16 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
     min_s = float(np.min(rounds))
     speedup = baseline["mean_s"] / mean_s
 
+    # -- the oracle: same sweep with the native library switched off ----
+    from repro.hil import native
+
+    native_on = native.library() is not None
+    monkeypatch.setattr(native, "library", lambda: None)
+    t_oracle, trace = _run_once(jobs=1)
+    monkeypatch.undo()
+    assert trace.tobytes() == ref_bytes, "trace bytes diverged: native vs oracle"
+    assert _csv_bytes(tmp_path, "oracle", trace) == ref_csv, "CSV bytes diverged: oracle"
+
     machine = {
         "nodename": platform.node(),
         "machine": platform.machine(),
@@ -126,7 +140,9 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
         f"workload: {N_AMPS} amps x {DURATION_S * 1e3:.0f} ms machine time",
         f"jobs1 warmup: {t_warmup:.3f} s",
         f"jobs2: {t_jobs2:.3f} s",
-        f"jobs1 over {TIMED_ROUNDS} rounds: mean {mean_s:.3f} s, min {min_s:.3f} s",
+        f"jobs1 over {TIMED_ROUNDS} rounds: mean {mean_s:.3f} s, min {min_s:.3f} s"
+        f" (native loop {'on' if native_on else 'unavailable'})",
+        f"jobs1 oracle (Python loop): {t_oracle:.3f} s -> native {t_oracle / mean_s:.1f}x",
         f"baseline mean {baseline['mean_s']:.3f} s -> {speedup:.1f}x "
         f"({'same box, gated' if same_box else 'different box, report only'})",
     ]
@@ -136,10 +152,11 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
 
     records = [
         {
-            "name": "e2e/sweep_compiled",
+            "name": "e2e/sweep_native",
             "stats": {"mean": mean_s, "min": min_s, "rounds": TIMED_ROUNDS},
             "extra_info": {
                 "engine": "compiled",
+                "native_loop": native_on,
                 "jobs": 1,
                 "baseline_mean_s": baseline["mean_s"],
                 "speedup_vs_baseline": speedup,
@@ -148,15 +165,20 @@ def test_e2e_sweep_speed_and_parity(tmp_path):
             },
         },
         {
-            "name": "e2e/sweep_compiled_jobs2",
+            "name": "e2e/sweep_native_jobs2",
             "stats": {"mean": t_jobs2, "rounds": 1},
-            "extra_info": {"engine": "compiled", "jobs": 2},
+            "extra_info": {"engine": "compiled", "native_loop": native_on, "jobs": 2},
+        },
+        {
+            "name": "e2e/sweep_oracle",
+            "stats": {"mean": t_oracle, "rounds": 1},
+            "extra_info": {"engine": "compiled", "native_loop": False, "jobs": 1},
         },
         {
             "name": "e2e/parity",
             "stats": {"mean": 0.0, "rounds": 1},
             "extra_info": {
-                "byte_identical": ["compiled/jobs1", "compiled/jobs2"],
+                "byte_identical": ["native/jobs1", "native/jobs2", "oracle/jobs1"],
                 "csv_stride": CSV_STRIDE,
             },
         },

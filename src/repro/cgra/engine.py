@@ -57,6 +57,8 @@ __all__ = [
     "CompiledProgram",
     "compile_program",
     "merged_entries",
+    "TAPE_OPS",
+    "lower_tape",
     "BatchedCgraExecutor",
     "set_default_engine",
     "get_default_engine",
@@ -117,6 +119,46 @@ def merged_entries(schedule: Schedule) -> list:
             entries.append((e.tick, Op(e.op), e.node_id, tuple(e.operands), e.io_id))
     entries.sort(key=lambda e: (e[0], e[2]))
     return entries
+
+
+#: Op codes of the native tape (``repro/hil/revloop.c``).  A kernel with
+#: any other op (comparisons, select, min/max) has no tape and runs on
+#: the Python path.
+TAPE_OPS = {
+    Op.SENSOR_READ: 0,
+    Op.SENSOR_READ_ADDR: 1,
+    Op.ACTUATOR_WRITE: 2,
+    Op.FADD: 3,
+    Op.FSUB: 4,
+    Op.FMUL: 5,
+    Op.FDIV: 6,
+    Op.FSQRT: 7,
+    Op.FNEG: 8,
+}
+
+
+def lower_tape(entries: list, graph: DataflowGraph) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower merged entries to a native-loop tape, or None when an entry
+    uses an op without a native form (see :data:`TAPE_OPS`).
+
+    ``rows`` is int32 ``[n, 5]``: ``(op, dst, a, b, io)`` per entry, in
+    the emitter's order; ``dst`` is the node's slot, ``a``/``b`` the
+    operand slots (0 when unused) and ``io`` the sensor or actuator id
+    (-1 when none).  ``latches`` is int32 ``[m, 2]``: ``(phi slot,
+    source slot)`` in the emitter's sequential latch order.
+    """
+    if any(op not in TAPE_OPS for _t, op, _n, _o, _io in entries):
+        return None
+    rows = np.zeros((len(entries), 5), dtype=np.int32)
+    for r, (_tick, op, nid, operands, io_id) in enumerate(entries):
+        rows[r, 0] = TAPE_OPS[op]
+        rows[r, 1] = nid
+        rows[r, 2:2 + len(operands)] = operands
+        rows[r, 4] = -1 if io_id is None else io_id
+    latches = np.array(
+        [(phi.node_id, phi.back_edge) for phi in graph.phis()], dtype=np.int32
+    ).reshape(-1, 2)
+    return rows, latches
 
 
 class _CodeEmitter:
@@ -275,6 +317,8 @@ class CompiledProgram:
         self._step_batched_fast = None
         self.source_batched: str | None = None
         self.source_batched_fast: str | None = None
+        #: The kernel lowered for a native loop (:func:`lower_tape`).
+        self.tape = lower_tape(self.entries, self.graph)
         if _OBS.enabled:
             _PROGRAMS_COMPILED.inc(precision=precision)
 
@@ -459,6 +503,18 @@ class BatchedCgraExecutor:
         return arr.astype(self._ftype)
 
     @property
+    def program(self) -> CompiledProgram:
+        """The compiled program this executor runs."""
+        return self._program
+
+    def phi_slot(self, name: str) -> int:
+        """Register slot of a named loop-carried register."""
+        nid = self._phi_named.get(name)
+        if nid is None:
+            raise ExecutionError(f"no loop-carried register named {name!r}")
+        return nid
+
+    @property
     def schedule_length(self) -> int:
         """Ticks per iteration (same schedule for every lane)."""
         return self.schedule.length
@@ -619,12 +675,43 @@ class BatchedCgraExecutor:
                         self._program.op_class_counts, lanes=self.batch,
                     )
 
+    def register_file(self) -> np.ndarray:
+        """All slots as one float64 ``[n_slots, B]`` array (lane-uniform
+        values broadcast, never-computed slots 0) — the state a native
+        loop starts from."""
+        regs = np.zeros((self._program.n_slots, self.batch))
+        for nid, value in enumerate(self._slots):
+            if value is not None:
+                regs[nid] = value
+        return regs
+
+    def load_register_file(self, regs: np.ndarray, traced: bool) -> None:
+        """Adopt a native loop's register file.  ``traced`` stores every
+        computed slot, as after :meth:`run`; otherwise only the PHI
+        latches, as after the fast steps of a run that stopped early."""
+        ft = self._ftype
+        for phi in self.graph.phis():
+            self._slots[phi.node_id] = regs[phi.node_id].astype(ft)
+        if traced:
+            for _tick, _op, nid, _ops, _io in self._program.entries:
+                self._slots[nid] = regs[nid].astype(ft)
+
+    def count_native_iterations(self, done: int, elapsed_s: float) -> None:
+        """Account ``done`` iterations a native loop ran on this
+        executor's program: the iteration count, actuator-write ticks
+        and engine counters advance as after :meth:`run_driven`."""
+        if done <= 0:
+            return
+        self.iterations += done
+        self.actuator_write_ticks = dict(self._program.actuator_write_ticks)
+        if _OBS.enabled:
+            _ENGINE_ITERATIONS.inc(done * self.batch, engine="batched")
+            if elapsed_s > 0.0:
+                _ITERS_PER_SECOND.set(done * self.batch / elapsed_s, engine="batched")
+
     def register_view(self, name: str):
         """Live value of a named loop-carried register — the current
         slot, no copy, no broadcast (may be a lane-uniform scalar).
         Read-only by contract; re-fetch after every step (slots rebind).
         """
-        nid = self._phi_named.get(name)
-        if nid is None:
-            raise ExecutionError(f"no loop-carried register named {name!r}")
-        return self._slots[nid]
+        return self._slots[self.phi_slot(name)]

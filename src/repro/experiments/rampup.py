@@ -16,13 +16,14 @@ budget check at the (tightest) top of the ramp.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cgra.models import compile_beam_model
 from repro.constants import TWO_PI
-from repro.errors import ConfigurationError, PhysicsError
+from repro.errors import ConfigurationError
 from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.physics.ion import IonSpecies
 from repro.physics.rf import RFSystem
@@ -61,6 +62,32 @@ class RampUpScenario:
             raise ConfigurationError("duration must be positive")
         if self.voltage_start <= 0 or self.voltage_end <= 0:
             raise ConfigurationError("voltages must be positive")
+        for t, _f, _g, sin_phi, _v in self.programme():
+            if abs(sin_phi) > 1.0:
+                raise ConfigurationError(
+                    f"infeasible ramp at t={t:.4f}s: requires sin(phi_s)={sin_phi:.2f} "
+                    f"(raise the gap voltage or slow the ramp)"
+                )
+
+    def programme(self) -> Iterator[tuple[float, float, float, float, float]]:
+        """Per-turn ``(t, f_rev, γ, sin φ_s, V̂)`` on the tracking grid.
+
+        ``t`` advances by one revolution period per turn; ``sin φ_s`` is
+        the energy gain the frequency programme demands over that turn,
+        ``Δγ_required / (Q·V̂ / mc²)``.  Construction rejects a scenario
+        on which it leaves [-1, 1] anywhere.
+        """
+        qmc2 = self.ion.gamma_gain_per_volt()
+        t = 0.0
+        f_now = self.frequency_at(t)
+        gamma_now = self.ring.gamma_from_revolution_frequency(f_now)
+        while t < self.duration:
+            t_next = t + 1.0 / f_now
+            f_next = self.frequency_at(t_next)
+            gamma_next = self.ring.gamma_from_revolution_frequency(f_next)
+            voltage = self.voltage_at(t)
+            yield t, f_now, gamma_now, (gamma_next - gamma_now) / (qmc2 * voltage), voltage
+            t, f_now, gamma_now = t_next, f_next, gamma_next
 
     def frequency_at(self, t: float) -> float:
         """Programmed revolution frequency at machine time ``t``."""
@@ -107,12 +134,10 @@ def rampup_run(
 ) -> RampUpResult:
     """Track one bunch through the acceleration ramp.
 
-    Raises :class:`~repro.errors.PhysicsError` if the programme demands
-    more energy gain per turn than the gap voltage can deliver
-    (``|sin φ_s| > 1``) — an infeasible ramp.
+    The scenario is feasible by construction (``|sin φ_s| <= 1`` on
+    every turn, checked by :class:`RampUpScenario`).
     """
     ring, ion = scenario.ring, scenario.ion
-    qmc2 = ion.gamma_gain_per_volt()
 
     # Real-time budget: tightest at the top of the ramp.
     model = compile_beam_model(n_bunches=n_bunches, pipelined=True)
@@ -132,25 +157,10 @@ def rampup_run(
     state = tracker.initial_state(scenario.f_start, delta_t=scenario.initial_delta_t)
 
     records: list[tuple[float, ...]] = []
-    t = 0.0
-    turn = 0
-    while t < scenario.duration:
-        f_now = scenario.frequency_at(t)
-        t_rev = 1.0 / f_now
-        f_next = scenario.frequency_at(t + t_rev)
-        gamma_now = ring.gamma_from_revolution_frequency(f_now)
-        gamma_next = ring.gamma_from_revolution_frequency(f_next)
-        dgamma_required = gamma_next - gamma_now
-        voltage = scenario.voltage_at(t)
-        sin_phi = dgamma_required / (qmc2 * voltage)
-        if abs(sin_phi) > 1.0:
-            raise PhysicsError(
-                f"infeasible ramp at t={t:.4f}s: requires sin(phi_s)={sin_phi:.2f} "
-                f"(raise the gap voltage or slow the ramp)"
-            )
+    for turn, (t, f_now, gamma_now, sin_phi, voltage) in enumerate(scenario.programme()):
         state_holder["phi_s"] = math.asin(sin_phi)
         state_holder["voltage"] = voltage
-        deadline.check_revolution(t_rev)
+        deadline.check_revolution(1.0 / f_now)
         tracker.step(state, f_rev=f_now)
         if turn % record_every == 0:
             records.append(
@@ -165,8 +175,6 @@ def rampup_run(
                     360.0 * scenario.harmonic * f_now * state.delta_t,
                 )
             )
-        t += t_rev
-        turn += 1
 
     arr = np.asarray(records)
     return RampUpResult(

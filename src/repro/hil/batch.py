@@ -20,18 +20,25 @@ bit-for-bit (see docs/PERFORMANCE.md).
 
 The per-lane sweep variable is the phase-jump amplitude; ring, ion and
 RF calibration are lane-uniform.
+
+:meth:`BatchedCavityInTheLoop.run` executes the revolutions in the
+native loop of :mod:`repro.hil.native` when it is available and on the
+engine's Python callback loop otherwise; both produce the same bytes
+(docs/PERFORMANCE.md, *Native revolution loop*).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cgra.engine import BatchedCgraExecutor
+from repro.cgra.engine import TAPE_OPS, BatchedCgraExecutor
 from repro.cgra.fabric import CgraConfig
 from repro.cgra.models import CompiledModel, compile_beam_model
+from repro.cgra.ops import Op
 from repro.cgra.sensor import (
     ACTUATOR_DELTA_T,
     SENSOR_GAP_BUFFER,
@@ -39,7 +46,7 @@ from repro.cgra.sensor import (
     SENSOR_REF_BUFFER,
     BatchSensorBus,
 )
-from repro.constants import TWO_PI, deg_to_rad
+from repro.constants import TWO_PI
 from repro.control import ControlLoopConfig
 from repro.errors import ConfigurationError, HilError
 from repro.faults.spec import FaultSpec
@@ -228,6 +235,19 @@ class _VectorControlLoop:
         self._last_output = u
         return u
 
+    def _adopt(self, tick: int, tick0: int, last: np.ndarray, saturations: int) -> None:
+        """Take over the state the native loop committed from tick
+        ``tick0`` to ``tick`` (it updates x_prev/y_prev in place)."""
+        if not self.config.enabled:
+            self._last_output = np.zeros_like(self._last_output)
+            return
+        div = self.config.update_divider
+        if -(-tick // div) > -(-tick0 // div):  # an update ran
+            np.copyto(self._u, last)
+            self._last_output = self._u
+        self._tick = tick
+        self.saturation_count += saturations
+
 
 class BatchedCavityInTheLoop:
     """The Fig. 4 closed loop, B lanes per revolution."""
@@ -377,28 +397,16 @@ class BatchedCavityInTheLoop:
             dt = self._delta_t[:, 0]
         return -360.0 * self.config.harmonic * self.f_rev * dt
 
-    def step_revolution(self) -> None:
-        """Advance all lanes by one revolution."""
-        f = self._faults
-        if f is not None:
-            f.update(self._time)
-        jump_rad = float(self._jump_unit.phase_rad_at(self._time)) * self._jump_amps
-        self._gap_phase_rad = jump_rad + deg_to_rad(self.control.last_output_deg)
-        self._executor.run_iteration()
-        self.control.update(self.measured_phase_deg())
-        self._turn += 1
-        self._time += 1.0 / self.f_rev
-
-    def _run_fast(self, n_turns: int, t_rev: float, rec_every: int, record) -> None:
-        """Drive ``n_turns`` revolutions through the batched engine's
+    def _run_driven(self, start: int, n_turns: int, t_rev: float, rec: _Record) -> None:
+        """Turns ``start..n_turns-1`` on the Python path: the engine's
         callback loop (:meth:`BatchedCgraExecutor.run_driven`).
 
-        Per turn this performs exactly the :meth:`step_revolution`
-        sequence — deadline check, gap-phase update, engine iteration,
-        control update, time advance, optional record — but with one
-        errstate/telemetry envelope for the whole run and the per-turn
-        arrays updated in place instead of reallocated (each elementwise
-        op matches the allocating expression bit for bit).
+        Per turn: deadline check, fault update, gap-phase update, one
+        engine step, control update, time advance, optional record — one
+        errstate/telemetry envelope for the whole call, per-turn arrays
+        updated in place (each elementwise op matches the allocating
+        expression bit for bit).  This is the oracle the native loop is
+        tested against, and the fallback it hands over to.
         """
         amps = self._jump_amps
         gap = self._gap_phase_rad
@@ -411,7 +419,7 @@ class BatchedCavityInTheLoop:
         dt0 = self._delta_t[:, 0]
         mbuf = np.empty(self.batch)
         tmp = np.empty(self.batch)
-
+        rec_every = self.config.record_every
         faults = self._faults
 
         def pre(i: int) -> None:
@@ -431,75 +439,164 @@ class BatchedCavityInTheLoop:
                 ctrl.update(self.measured_phase_deg())
             self._turn += 1
             self._time += t_rev
-            if (i + 1) % rec_every == 0:
-                record()
+            if (start + i + 1) % rec_every == 0:
+                rec.take(self)
 
-        self._executor.run_driven(n_turns, pre=pre, post=post)
+        self._executor.run_driven(n_turns - start, pre=pre, post=post)
 
-    def run(self, duration: float, *, _fast: bool = True) -> BatchHilRunResult:
+    def _native_ready(self, t_rev: float, regs: np.ndarray):
+        """The kernel tape when the native loop can run this bench from
+        its current state (register file ``regs``), else None (the run
+        stays on the Python path)."""
+        cfg = self.config
+        tape = self._executor.program.tape
+        if tape is None:
+            return None
+        rows, _latches = tape
+        # The loop implements this bench's IO map only.
+        for op, io in zip(rows[:, 0].tolist(), rows[:, 4].tolist()):
+            if op == _READ and io != SENSOR_PERIOD:
+                return None
+            if op == _READ_ADDR and io not in (SENSOR_REF_BUFFER, SENSOR_GAP_BUFFER):
+                return None
+            if op == _WRITE and not ACTUATOR_DELTA_T <= io < ACTUATOR_DELTA_T + cfg.n_bunches:
+                return None
+        if t_rev * self.deadline.cgra_clock_hz - self.deadline.schedule_length_ticks < 0:
+            return None  # the first deadline check raises: let Python do it
+        # np.mean sums fewer than 8 values sequentially (pairwise beyond).
+        if cfg.control_source == "mean" and cfg.n_bunches >= 8:
+            return None
+        ctrl = self.control
+        state = (self._jump_amps, self._delta_t, ctrl._x_prev, ctrl._y_prev,
+                 ctrl.last_output_deg, regs, self._time)
+        if not all(np.isfinite(v).all() for v in state):
+            return None
+        return tape
+
+    def _run_native(self, n_turns: int, t_rev: float, rec: _Record) -> int:
+        """Run as many turns as possible in the native loop; returns how
+        many it committed (0 when it is unavailable).  All bench, engine,
+        bus, deadline and telemetry state is left exactly as the Python
+        path leaves it after that many turns."""
+        from repro.hil import native
+
+        lib = native.library()
+        if lib is None:
+            return 0
+        regs = self._executor.register_file()
+        tape = self._native_ready(t_rev, regs)
+        if tape is None:
+            return 0
+        import ctypes
+
+        rows, latches = tape
+        cfg, ctrl, ex = self.config, self.control, self._executor
+        B, nb = self.batch, cfg.n_bunches
+        ccfg = ctrl.config
+        last = np.array(ctrl.last_output_deg, dtype=float)
+        scratch = np.empty(4 * B + B * nb + len(latches) * B)
+
+        def ptr(a: np.ndarray, ctype=ctypes.c_double):
+            if not a.flags.c_contiguous or a.dtype != np.dtype(ctype):
+                raise HilError(f"native loop buffer is not C-contiguous {np.dtype(ctype)}")
+            return a.ctypes.data_as(ctypes.POINTER(ctype))
+
+        c = native.RevLoop(
+            lanes=B, n_bunches=nb, n_rows=len(rows), n_latch=len(latches),
+            single=int(ex.precision == "single"), gamma_slot=ex.phi_slot("gamma_r"),
+            tape=ptr(rows, ctypes.c_int32), latch=ptr(latches, ctypes.c_int32),
+            regs=ptr(regs),
+            t_rev=t_rev, f_sample=250e6, w_ref=TWO_PI * self.f_rev,
+            w_gap=TWO_PI * cfg.harmonic * self.f_rev, adc_amplitude=cfg.adc_amplitude,
+            lsb=self._adc.lsb, quantize=int(cfg.quantize_adc),
+            code_min=self._adc.code_min, code_max=self._adc.code_max,
+            adc_bits=self._adc.bits,
+            jump_start=self._jump_unit.start_time, jump_period=self._jump_unit.toggle_period,
+            jump_deg=self._jump_unit.jump_deg, d2r=math.pi / 180.0,
+            amps=ptr(self._jump_amps), gap=ptr(self._gap_phase_rad),
+            ctrl_enabled=int(ccfg.enabled), ctrl_divider=ccfg.update_divider,
+            ctrl_has_limit=int(ccfg.saturation_deg is not None),
+            use_bunch0=int(cfg.control_source == "bunch0"), ctrl_tick=ctrl._tick,
+            ctrl_limit=ccfg.saturation_deg or 0.0, ctrl_r=ctrl._r, ctrl_gc=ctrl._gc,
+            phase_scale=-360.0 * cfg.harmonic * self.f_rev,
+            x_prev=ptr(ctrl._x_prev), y_prev=ptr(ctrl._y_prev), last=ptr(last),
+            delta_t=ptr(self._delta_t), time=self._time,
+            rec_every=cfg.record_every, rec_idx=rec.idx,
+            rec_time=ptr(rec.time), rec_phase=ptr(rec.phase), rec_corr=ptr(rec.corr),
+            rec_jump=ptr(rec.jump), rec_dt=ptr(rec.dt), rec_dt_all=ptr(rec.dt_all),
+            rec_gamma=ptr(rec.gamma), scratch=ptr(scratch),
+        )
+        faults = self._faults
+        block = n_turns
+        if faults is not None:
+            # Fault channels stay computed by FaultProgram.update, one
+            # block of turns at a time, into tables the loop reads.
+            block = min(n_turns, FAULT_BLOCK_TURNS)
+            tables = (np.zeros(block, np.uint8), np.zeros(block, np.uint8),
+                      np.zeros((block, B)), np.ones((block, B)),
+                      np.full((block, B), math.inf), np.zeros((block, B), np.int64))
+            active, stuck, phase, gain, clip, mask = tables
+            c.fault_active = ptr(active, ctypes.c_uint8)
+            c.fault_stuck = ptr(stuck, ctypes.c_uint8)
+            c.gap_phase, c.gap_gain, c.gap_clip = ptr(phase), ptr(gain), ptr(clip)
+            c.stuck_mask = ptr(mask, ctypes.c_int64)
+        tick0 = ctrl._tick
+        done = 0
+        t0 = time.perf_counter()
+        while done < n_turns:
+            n = min(block, n_turns - done)
+            if faults is not None:
+                _fill_fault_tables(faults, tables, n, c.time, t_rev)
+            c.turn0 = done
+            got = lib.revloop_run(ctypes.byref(c), n)
+            done += got
+            if got < n:
+                break
+        elapsed = time.perf_counter() - t0
+        if done == 0:
+            return 0
+
+        # Hand the state back: the loop committed ``done`` whole turns.
+        ex.load_register_file(regs, traced=done == n_turns)
+        ex.count_native_iterations(done, elapsed)
+        bus = ex.bus
+        for op, io in zip(rows[:, 0].tolist(), rows[:, 4].tolist()):
+            if io >= 0:
+                counts = bus.write_counts if op == _WRITE else bus.read_counts
+                counts[io] = counts.get(io, 0) + done
+        self.deadline.check_revolutions(t_rev, done)
+        ADC.count_conversions(c.adc_samples, c.adc_clips)
+        ctrl._adopt(c.ctrl_tick, tick0, last, c.saturations)
+        self._time = c.time
+        self._turn += done
+        rec.idx = c.rec_idx
+        get_profiler().add("hil.native_loop", elapsed, done * B)
+        return done
+
+    def run(self, duration: float, *, _native: bool = True) -> BatchHilRunResult:
         """Run all lanes for ``duration`` seconds of machine time.
 
-        ``_fast`` selects the driven batched-engine loop (one telemetry
-        envelope for the whole run, scratch buffers reused across turns);
-        ``_fast=False`` keeps the per-turn :meth:`step_revolution` loop.
-        Both produce bit-identical results — the slow form exists as the
-        parity reference for tests.
+        Turns run in the native revolution loop (:mod:`repro.hil.native`)
+        when it is available; a turn it cannot commit (a numeric fault)
+        and every turn after it run on the Python path, which raises the
+        error.  ``_native=False`` runs the whole run on the Python path —
+        the bit-identical oracle the tests compare against.
         """
         if duration <= 0:
             raise HilError("duration must be positive")
         n_turns = int(round(duration * self.f_rev))
-        rec_every = self.config.record_every
-        n_rec = n_turns // rec_every + 1
         B = self.batch
-        time = np.empty(n_rec)
-        phase = np.empty((n_rec, B))
-        corr = np.empty((n_rec, B))
-        jump = np.empty((n_rec, B))
-        dts = np.empty((n_rec, B))
-        dts_all = np.empty((n_rec, B, self.config.n_bunches))
-        gam = np.empty((n_rec, B))
-        idx = 0
-
-        # Hot-loop constants.  ``m`` folds the phase-detector scale the
-        # same way measured_phase_deg evaluates it left to right, and
-        # ``dt0`` is a persistent view (the delta_t buffer is written in
-        # place by the actuator handlers, never rebound).
-        m = -360.0 * self.config.harmonic * self.f_rev
-        dt0 = self._delta_t[:, 0]
-        use_bunch0 = self.config.control_source == "bunch0"
-        amps = self._jump_amps
-
-        def record() -> None:
-            nonlocal idx
-            time[idx] = self._time
-            if use_bunch0:
-                np.multiply(dt0, m, out=phase[idx])
-            else:
-                phase[idx] = self.measured_phase_deg()
-            corr[idx] = self.control.last_output_deg
-            np.multiply(amps, self._jump_unit.phase_deg_at(self._time), out=jump[idx])
-            dts[idx] = dt0
-            dts_all[idx] = self._delta_t
-            gam[idx] = self._executor.register_view("gamma_r")
-            idx += 1
-
-        record()
+        rec = _Record(n_turns // self.config.record_every + 1, B, self.config.n_bunches)
+        rec.take(self)
         t_rev = 1.0 / self.f_rev
         span_attrs = dict(batch=B, duration_s=duration, n_turns=n_turns)
         if self._faults is not None:
             span_attrs["fault"] = self._faults.label
         with get_tracer().span("hil.run_batched", **span_attrs):
-            # One profiler phase for the whole lockstep loop (the
-            # batched engine hook below it adds per-op-class detail).
             with get_profiler().phase("hil.run_batched"):
-                if _fast:
-                    self._run_fast(n_turns, t_rev, rec_every, record)
-                else:
-                    for n in range(n_turns):
-                        self.deadline.check_revolution(t_rev)
-                        self.step_revolution()
-                        if (n + 1) % rec_every == 0:
-                            record()
+                start = self._run_native(n_turns, t_rev, rec) if _native else 0
+                if start < n_turns:
+                    self._run_driven(start, n_turns, t_rev, rec)
         stats = self.deadline.stats(allow_empty=True)
         if _OBS.enabled:
             _HIL_ITERATIONS.inc(n_turns, engine="batched")
@@ -518,15 +615,71 @@ class BatchedCavityInTheLoop:
                 control_saturations=self.control.saturation_count,
                 **extras,
             )
+        n = rec.idx
         return BatchHilRunResult(
-            time=time[:idx],
-            phase_deg=phase[:idx],
-            correction_deg=corr[:idx],
-            jump_deg=jump[:idx],
-            delta_t=dts[:idx],
-            delta_t_all=dts_all[:idx],
-            gamma_ref=gam[:idx],
+            time=rec.time[:n],
+            phase_deg=rec.phase[:n],
+            correction_deg=rec.corr[:n],
+            jump_deg=rec.jump[:n],
+            delta_t=rec.dt[:n],
+            delta_t_all=rec.dt_all[:n],
+            gamma_ref=rec.gamma[:n],
             deadline=stats,
             schedule_length=self.model.schedule_length,
             batch=B,
         )
+
+
+_READ, _READ_ADDR, _WRITE = (
+    TAPE_OPS[op] for op in (Op.SENSOR_READ, Op.SENSOR_READ_ADDR, Op.ACTUATOR_WRITE)
+)
+
+#: Turns per fault-table block of the native loop (bounds its memory).
+FAULT_BLOCK_TURNS = 1024
+
+
+def _fill_fault_tables(faults, tables, n: int, t: float, t_rev: float) -> None:
+    """Evaluate ``faults`` at the start times of the next ``n`` turns
+    (``t`` advanced by ``t_rev`` exactly as the loop advances it)."""
+    active, stuck, phase, gain, clip, mask = tables
+    for k in range(n):
+        faults.update(t)
+        active[k] = faults.active
+        if faults.active:
+            stuck[k] = faults.stuck_any
+            phase[k] = faults.gap_phase
+            gain[k] = faults.gap_gain
+            clip[k] = faults.gap_clip
+            mask[k] = faults.stuck_mask
+        t += t_rev
+
+
+class _Record:
+    """Strided record buffers of one run, filled by either loop."""
+
+    def __init__(self, n_rec: int, batch: int, n_bunches: int) -> None:
+        self.time = np.empty(n_rec)
+        self.phase = np.empty((n_rec, batch))
+        self.corr = np.empty((n_rec, batch))
+        self.jump = np.empty((n_rec, batch))
+        self.dt = np.empty((n_rec, batch))
+        self.dt_all = np.empty((n_rec, batch, n_bunches))
+        self.gamma = np.empty((n_rec, batch))
+        self.idx = 0
+
+    def take(self, bench: BatchedCavityInTheLoop) -> None:
+        """Record the bench's current state (the Python path)."""
+        i = self.idx
+        self.time[i] = bench._time
+        dt0 = bench._delta_t[:, 0]
+        if bench.config.control_source == "bunch0":
+            np.multiply(dt0, -360.0 * bench.config.harmonic * bench.f_rev, out=self.phase[i])
+        else:
+            self.phase[i] = bench.measured_phase_deg()
+        self.corr[i] = bench.control.last_output_deg
+        np.multiply(bench._jump_amps, bench._jump_unit.phase_deg_at(bench._time),
+                    out=self.jump[i])
+        self.dt[i] = dt0
+        self.dt_all[i] = bench._delta_t
+        self.gamma[i] = bench._executor.register_view("gamma_r")
+        self.idx = i + 1

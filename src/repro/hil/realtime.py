@@ -18,6 +18,7 @@ from the full per-iteration record.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,29 @@ class DeadlineMonitor:
                     f"revolution budget is {budget:.1f} ticks "
                     f"(f_rev={1.0 / revolution_period_s:.3e} Hz)"
                 )
+        return slack
+
+    def check_revolutions(self, revolution_period_s: float, n: int) -> float:
+        """Account ``n`` revolutions of one period at once.
+
+        Same slack record, telemetry and miss policy as ``n`` calls to
+        :meth:`check_revolution` (under ``"raise"`` a miss is recorded
+        and raised on the first revolution); returns the slack.
+        """
+        if revolution_period_s <= 0:
+            raise ConfigurationError("revolution period must be positive")
+        slack = revolution_period_s * self.cgra_clock_hz - self.schedule_length_ticks
+        if n <= 0:
+            return slack
+        if slack < 0 and self.policy == "raise":
+            return self.check_revolution(revolution_period_s)
+        self._slacks.extend(itertools.repeat(slack, n))
+        if _OBS.enabled:
+            _SLACK_HIST.observe_repeated(slack, n)
+        if slack < 0:
+            self._misses += n
+            if _OBS.enabled:
+                _MISSES.inc(n)
         return slack
 
     @property

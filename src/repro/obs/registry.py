@@ -244,6 +244,25 @@ class Histogram(_Instrument):
         if value > s.max:
             s.max = value
 
+    def observe_repeated(self, value: float, n: int, **labels) -> None:
+        """``n`` observations of one value — the same buckets, moments
+        and (sequentially accumulated) sum as ``n`` :meth:`observe`
+        calls."""
+        if not STATE.enabled or n <= 0:
+            return
+        value = float(value)
+        s = self._get(labels)
+        s.counts[self._bucket_index(value)] += n
+        s.count += n
+        total = s.sum
+        for _ in range(n):
+            total += value
+        s.sum = total
+        if value < s.min:
+            s.min = value
+        if value > s.max:
+            s.max = value
+
     def observe_many(self, values: Iterable[float], **labels) -> None:
         if not STATE.enabled:
             return

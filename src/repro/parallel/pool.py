@@ -93,13 +93,16 @@ def prime_compile_caches() -> None:
     every built-in HIL bench uses (1 bunch, pipelined, default fabric),
     then builds the flat compiled program so the generated-source code
     cache starts warm too — worker runs begin with cache hits instead of
-    tool-flow/codegen runs.
+    tool-flow/codegen runs.  It also builds (or loads) the native
+    revolution loop, so forked workers inherit the loaded library.
     """
     from repro.cgra.engine import compile_program
     from repro.cgra.models import compile_beam_model
+    from repro.hil import native
 
     model = compile_beam_model(n_bunches=1, pipelined=True)
     compile_program(model.schedule)
+    native.library()
 
 
 #: Primers every pool runs unless told otherwise.

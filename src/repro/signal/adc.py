@@ -120,6 +120,17 @@ class ADC:
                 _CLIPS.inc(clipped)
         return np.minimum(np.maximum(codes, self._code_min), self._code_max)
 
+    @staticmethod
+    def count_conversions(samples: int, clips: int) -> None:
+        """File conversions made outside :meth:`convert` (the native
+        revolution loop of :mod:`repro.hil.batch`) into the same sample
+        and clip counters."""
+        if _OBS.enabled:
+            if samples:
+                _SAMPLES.inc(samples)
+            if clips:
+                _CLIPS.inc(clips)
+
     def codes_to_volts(self, codes) -> np.ndarray:
         """Reconstruct voltages from codes (the value the FPGA works with)."""
         return np.asarray(codes, dtype=float) * self._lsb

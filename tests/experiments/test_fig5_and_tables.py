@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, PhysicsError
+from repro.errors import ConfigurationError
 from repro.experiments.fig5 import fig5_metrics, fig5_run_bench, fig5_run_machine
 from repro.experiments.jitter_study import jitter_comparison
 from repro.experiments.landau import landau_damping_comparison
@@ -100,12 +100,14 @@ class TestRampUp:
         assert res.f_rev[-1] > res.f_rev[0]
 
     def test_infeasible_ramp_detected(self):
-        scenario = RampUpScenario(
-            ring=SIS18, ion=KNOWN_IONS["14N7+"], f_start=600e3, f_end=800e3,
-            duration=0.002, voltage_start=1e3, voltage_end=1e3,
-        )
-        with pytest.raises(PhysicsError):
-            rampup_run(scenario)
+        # Rejected when built, naming the first infeasible turn's time.
+        with pytest.raises(ConfigurationError, match=r"infeasible ramp at t=0\.0000s"):
+            RampUpScenario(
+                ring=SIS18, ion=KNOWN_IONS["14N7+"], f_start=600e3, f_end=800e3,
+                duration=0.002, voltage_start=1e3, voltage_end=1e3,
+            )
+        with pytest.raises(ConfigurationError, match=r"infeasible ramp at t=0\.0230s"):
+            RampUpScenario(ring=SIS18, ion=KNOWN_IONS["14N7+"], duration=0.05)
 
     def test_scenario_validation(self):
         with pytest.raises(ConfigurationError):

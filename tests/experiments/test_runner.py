@@ -85,6 +85,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_rampup_quick_runs(self, tmp_path):
+        assert main(["rampup", "--quick", "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "rampup.csv", delimiter=",", skiprows=1)
+        assert data[-1, 1] > data[0, 1]  # the revolution frequency ramps up
+
+    def test_all_runs_every_experiment_then_reports(self, tmp_path, capsys, monkeypatch):
+        def boom(out, quick):
+            raise RuntimeError("broken experiment")
+
+        monkeypatch.setattr(
+            "repro.experiments.runner.EXPERIMENTS",
+            {"fig1": EXPERIMENTS["fig1"], "boom": ("boom", boom),
+             "schedule": EXPERIMENTS["schedule"]},
+        )
+        assert main(["all", "--quick", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        # The experiment after the failing one still ran.
+        assert (tmp_path / "fig1_voltage.csv").exists()
+        assert (tmp_path / "schedule_lengths.csv").exists()
+        assert "all: boom" in err and "FAIL  RuntimeError: broken experiment" in err
+        assert "all: fig1       pass" in err and "all: schedule   pass" in err
+        assert "1 of 3 experiments failed: boom" in err
+
     def test_unknown_experiment_exit_code(self, tmp_path, capsys):
         assert main(["bogus", "--out", str(tmp_path)]) == 2
         assert "ERROR" in capsys.readouterr().err

@@ -65,23 +65,25 @@ class TestBatchedHil:
             assert np.array_equal(batched.delta_t_all[:, lane, :],
                                   scalar.delta_t_all)
 
-    def test_fast_loop_matches_reference_loop(self):
-        """run() drives the engine's callback loop (run_driven); the
-        ``_fast=False`` path keeps the original per-turn
-        ``step_revolution()`` loop as an executable reference.  Both
-        must produce bit-identical records and end state."""
+    def test_native_loop_matches_oracle_loop(self):
+        """run() drives the native revolution loop; ``_native=False``
+        keeps the whole run on the engine's callback loop (run_driven),
+        the executable reference.  Both must produce bit-identical
+        records and end state."""
         cfg = _batch_config(n_bunches=2, record_every=3)
-        fast_bench = BatchedCavityInTheLoop(cfg)
-        slow_bench = BatchedCavityInTheLoop(cfg)
-        fast = fast_bench.run(0.004)
-        slow = slow_bench.run(0.004, _fast=False)
+        native_bench = BatchedCavityInTheLoop(cfg)
+        oracle_bench = BatchedCavityInTheLoop(cfg)
+        native = native_bench.run(0.004)
+        oracle = oracle_bench.run(0.004, _native=False)
         for name in ("time", "phase_deg", "correction_deg", "jump_deg",
                      "delta_t", "delta_t_all", "gamma_ref"):
-            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-        assert fast_bench._turn == slow_bench._turn
-        assert fast_bench._time == slow_bench._time
-        assert (fast_bench.control.saturation_count
-                == slow_bench.control.saturation_count)
+            assert np.array_equal(getattr(native, name), getattr(oracle, name)), name
+        assert native_bench._turn == oracle_bench._turn
+        assert native_bench._time == oracle_bench._time
+        assert (native_bench.control.saturation_count
+                == oracle_bench.control.saturation_count)
+        assert np.array_equal(native_bench._executor.register_file(),
+                              oracle_bench._executor.register_file())
 
     def test_control_damps_every_lane(self):
         cfg = _batch_config(jump_deg=(6.0, 10.0), jump_start_time=0.001)
