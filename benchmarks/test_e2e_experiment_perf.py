@@ -1,4 +1,5 @@
-"""End-to-end experiment benchmark: the runner-level sweep hot path.
+"""End-to-end experiment benchmark: the runner-level sweep hot path and
+the Fig. 5a bench.
 
 Reproduces the committed baseline workload
 (``benchmarks/results/e2e_baseline.json``: 16 jump amplitudes spanning
@@ -10,12 +11,17 @@ dispatches it.  Writes ``BENCH_e2e.json`` (results dir + repo root).
 The sweep runs twice per configuration: on the native revolution loop
 (the production path, ``e2e/sweep_native``) and with the native library
 switched off, on the Python ``run_driven`` oracle (``e2e/sweep_oracle``).
+The full-length Fig. 5a bench run (``fig5_run_bench``, the runner's
+``fig5a``) is timed the same way: as a B = 1 native lane
+(``e2e/fig5a_native``) and on the scalar bench's per-turn loop
+(``e2e/fig5a_oracle``).
 
 Two gates:
 
 * **Parity, unconditional** — the merged phase traces and the emitted
   CSV must be byte-identical across ``jobs`` {1, 2} and between the
-  native loop and the oracle.  A wall-clock win that changes a byte is
+  native loop and the oracle, and every Fig. 5a trace array must be
+  byte-identical between the lane and the per-turn loop.  A wall-clock win that changes a byte is
   a correctness bug, not a speedup.
 * **Speed, fingerprint-gated** — on the machine the committed baseline
   was measured on, the compiled sweep must beat the baseline mean by
@@ -40,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments.fig5 import fig5_run_bench
 from repro.experiments.runner import _write_csv
 from repro.experiments.sweep import plan_sweep, run_sweep_shard
 from repro.obs.export import write_bench_json
@@ -64,6 +71,10 @@ TIMED_ROUNDS = 3
 #: without proving anything the stride misses (the raw trace buffers
 #: are compared in full).
 CSV_STRIDE = 16
+#: Machine time of the Fig. 5a run (the runner's full ``fig5a``).
+FIG5A_DURATION_S = 0.30
+_FIG5A_TRACES = ("time", "phase_deg", "correction_deg", "jump_deg", "delta_t",
+                 "delta_t_all", "gamma_ref")
 
 
 def _tasks():
@@ -79,6 +90,14 @@ def _run_once(jobs: int) -> tuple[float, np.ndarray]:
     )
     elapsed = time.perf_counter() - t0
     return elapsed, np.hstack([s.phase_deg for s in shards])
+
+
+def _fig5a_once() -> tuple[float, list[bytes]]:
+    """One Fig. 5a bench run; returns (seconds, every trace's bytes)."""
+    t0 = time.perf_counter()
+    res = fig5_run_bench(FIG5A_DURATION_S)
+    elapsed = time.perf_counter() - t0
+    return elapsed, [getattr(res, name).tobytes() for name in _FIG5A_TRACES]
 
 
 def _csv_bytes(tmp_path: Path, label: str, trace: np.ndarray) -> bytes:
@@ -128,6 +147,19 @@ def test_e2e_sweep_speed_and_parity(tmp_path, monkeypatch):
     assert trace.tobytes() == ref_bytes, "trace bytes diverged: native vs oracle"
     assert _csv_bytes(tmp_path, "oracle", trace) == ref_csv, "CSV bytes diverged: oracle"
 
+    # -- Fig. 5a: the scalar bench as a native lane vs its per-turn loop --
+    fig5a_rounds = []
+    _, fig5a_ref = _fig5a_once()
+    for _ in range(TIMED_ROUNDS):
+        elapsed, traces = _fig5a_once()
+        assert traces == fig5a_ref
+        fig5a_rounds.append(elapsed)
+    fig5a_mean = float(np.mean(fig5a_rounds))
+    monkeypatch.setattr(native, "library", lambda: None)
+    t_fig5a_oracle, traces = _fig5a_once()
+    monkeypatch.undo()
+    assert traces == fig5a_ref, "fig5a trace bytes diverged: native lane vs per-turn loop"
+
     machine = {
         "nodename": platform.node(),
         "machine": platform.machine(),
@@ -145,6 +177,10 @@ def test_e2e_sweep_speed_and_parity(tmp_path, monkeypatch):
         f"jobs1 oracle (Python loop): {t_oracle:.3f} s -> native {t_oracle / mean_s:.1f}x",
         f"baseline mean {baseline['mean_s']:.3f} s -> {speedup:.1f}x "
         f"({'same box, gated' if same_box else 'different box, report only'})",
+        f"fig5a ({FIG5A_DURATION_S * 1e3:.0f} ms) over {TIMED_ROUNDS} rounds: "
+        f"mean {fig5a_mean:.3f} s, min {min(fig5a_rounds):.3f} s",
+        f"fig5a per-turn loop: {t_fig5a_oracle:.3f} s -> native lane "
+        f"{t_fig5a_oracle / fig5a_mean:.1f}x",
     ]
     print("\n=== e2e sweep (runner workload) ===")
     for row in rows:
@@ -175,10 +211,23 @@ def test_e2e_sweep_speed_and_parity(tmp_path, monkeypatch):
             "extra_info": {"engine": "compiled", "native_loop": False, "jobs": 1},
         },
         {
+            "name": "e2e/fig5a_native",
+            "stats": {"mean": fig5a_mean, "min": min(fig5a_rounds), "rounds": TIMED_ROUNDS},
+            "extra_info": {"engine": "python", "native_loop": native_on,
+                           "duration_s": FIG5A_DURATION_S},
+        },
+        {
+            "name": "e2e/fig5a_oracle",
+            "stats": {"mean": t_fig5a_oracle, "rounds": 1},
+            "extra_info": {"engine": "python", "native_loop": False,
+                           "duration_s": FIG5A_DURATION_S},
+        },
+        {
             "name": "e2e/parity",
             "stats": {"mean": 0.0, "rounds": 1},
             "extra_info": {
-                "byte_identical": ["native/jobs1", "native/jobs2", "oracle/jobs1"],
+                "byte_identical": ["native/jobs1", "native/jobs2", "oracle/jobs1",
+                                   "fig5a native/per-turn"],
                 "csv_stride": CSV_STRIDE,
             },
         },

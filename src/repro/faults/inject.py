@@ -204,6 +204,11 @@ class FaultProgram:
 
     # -- per-revolution evaluation ------------------------------------
 
+    def idle_before(self, t: float) -> bool:
+        """Whether :meth:`update` is a no-op at every time below ``t``:
+        nothing is active and no loop fault starts before ``t``."""
+        return not self.active and t <= self._first_onset
+
     def update(self, t: float) -> None:
         """Re-evaluate every loop fault's window at run time ``t``."""
         if t < self._first_onset:

@@ -9,14 +9,13 @@ the control update happen once per revolution for the whole batch, so
 experiment sweeps (jump-amplitude scans, ablations, Monte-Carlo jitter
 studies) pay one engine iteration per revolution instead of ``B``.
 
-Per-lane semantics match :class:`repro.hil.simulator.CavityInTheLoop`
-with ``engine="cgra"``: the model math is bit-exact with the scalar
-compiled engine (the batch register file applies the same per-op
-float32/float64 rounding elementwise), while the analytic sensor
-handlers use NumPy transcendentals (``np.sin``) whose results may differ
-from ``math.sin`` by the platform libm's ULP — lane traces therefore
-agree with scalar runs to floating-point noise, not necessarily
-bit-for-bit (see docs/PERFORMANCE.md).
+Per-lane semantics match :class:`repro.hil.simulator.CavityInTheLoop`'s
+per-turn loop bit for bit: the batch register file applies the same
+per-op float32/float64 rounding elementwise, and the analytic sensor
+handlers' ``np.sin`` equals ``math.sin`` on every value the parity tests
+draw (the native loop's ``sin`` is checked against ``np.sin`` when it
+loads).  That equality is what lets the scalar bench run as a B = 1
+lane of this one (see docs/PERFORMANCE.md).
 
 The per-lane sweep variable is the phase-jump amplitude; ring, ion and
 RF calibration are lane-uniform.
@@ -109,6 +108,12 @@ class BatchHilConfig:
     def __post_init__(self) -> None:
         if len(self.jump_deg) < 1:
             raise ConfigurationError("jump_deg needs at least one lane")
+        if not all(math.isfinite(a) for a in self.jump_deg):
+            raise ConfigurationError(f"jump_deg must be finite, got {self.jump_deg}")
+        if self.precision not in ("single", "double"):
+            raise ConfigurationError(
+                f"precision must be 'single' or 'double', got {self.precision!r}"
+            )
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:
@@ -127,6 +132,12 @@ class BatchHilConfig:
             raise ConfigurationError(
                 f"initial_delta_t needs {len(self.jump_deg)} entries, "
                 f"got {len(self.initial_delta_t)}"
+            )
+        if self.initial_delta_t is not None and not all(
+            math.isfinite(v) for v in self.initial_delta_t
+        ):
+            raise ConfigurationError(
+                f"initial_delta_t must be finite, got {self.initial_delta_t}"
             )
         if self.control_source not in ("bunch0", "mean"):
             raise ConfigurationError(
@@ -397,7 +408,9 @@ class BatchedCavityInTheLoop:
             dt = self._delta_t[:, 0]
         return -360.0 * self.config.harmonic * self.f_rev * dt
 
-    def _run_driven(self, start: int, n_turns: int, t_rev: float, rec: _Record) -> None:
+    def _run_driven(
+        self, start: int, n_turns: int, t_rev: float, rec: _Record, checked: bool
+    ) -> None:
         """Turns ``start..n_turns-1`` on the Python path: the engine's
         callback loop (:meth:`BatchedCgraExecutor.run_driven`).
 
@@ -423,7 +436,8 @@ class BatchedCavityInTheLoop:
         faults = self._faults
 
         def pre(i: int) -> None:
-            deadline.check_revolution(t_rev)
+            if checked:
+                deadline.check_revolution(t_rev)
             if faults is not None:
                 faults.update(self._time)
             jr = jump_unit.phase_rad_at(self._time)
@@ -473,7 +487,7 @@ class BatchedCavityInTheLoop:
             return None
         return tape
 
-    def _run_native(self, n_turns: int, t_rev: float, rec: _Record) -> int:
+    def _run_native(self, n_turns: int, t_rev: float, rec: _Record, checked: bool) -> int:
         """Run as many turns as possible in the native loop; returns how
         many it committed (0 when it is unavailable).  All bench, engine,
         bus, deadline and telemetry state is left exactly as the Python
@@ -499,7 +513,9 @@ class BatchedCavityInTheLoop:
         def ptr(a: np.ndarray, ctype=ctypes.c_double):
             if not a.flags.c_contiguous or a.dtype != np.dtype(ctype):
                 raise HilError(f"native loop buffer is not C-contiguous {np.dtype(ctype)}")
-            return a.ctypes.data_as(ctypes.POINTER(ctype))
+            # From the address, not data_as: data_as ties the array into
+            # a reference cycle that only the cyclic collector frees.
+            return ctypes.cast(a.ctypes.data, ctypes.POINTER(ctype))
 
         c = native.RevLoop(
             lanes=B, n_bunches=nb, n_rows=len(rows), n_latch=len(latches),
@@ -564,7 +580,8 @@ class BatchedCavityInTheLoop:
             if io >= 0:
                 counts = bus.write_counts if op == _WRITE else bus.read_counts
                 counts[io] = counts.get(io, 0) + done
-        self.deadline.check_revolutions(t_rev, done)
+        if checked:
+            self.deadline.check_revolutions(t_rev, done)
         ADC.count_conversions(c.adc_samples, c.adc_clips)
         ctrl._adopt(c.ctrl_tick, tick0, last, c.saturations)
         self._time = c.time
@@ -586,17 +603,12 @@ class BatchedCavityInTheLoop:
             raise HilError("duration must be positive")
         n_turns = int(round(duration * self.f_rev))
         B = self.batch
-        rec = _Record(n_turns // self.config.record_every + 1, B, self.config.n_bunches)
-        rec.take(self)
-        t_rev = 1.0 / self.f_rev
         span_attrs = dict(batch=B, duration_s=duration, n_turns=n_turns)
         if self._faults is not None:
             span_attrs["fault"] = self._faults.label
         with get_tracer().span("hil.run_batched", **span_attrs):
             with get_profiler().phase("hil.run_batched"):
-                start = self._run_native(n_turns, t_rev, rec) if _native else 0
-                if start < n_turns:
-                    self._run_driven(start, n_turns, t_rev, rec)
+                rec = self._run_turns(n_turns, _native)
         stats = self.deadline.stats(allow_empty=True)
         if _OBS.enabled:
             _HIL_ITERATIONS.inc(n_turns, engine="batched")
@@ -629,6 +641,33 @@ class BatchedCavityInTheLoop:
             batch=B,
         )
 
+    def _run_turns(self, n_turns: int, native: bool, checked: bool = True) -> _Record:
+        """Advance every lane by ``n_turns`` revolutions and return the
+        strided record (the state before the first turn, then every
+        ``record_every``-th turn) — the loop of :meth:`run` without its
+        span and run telemetry, which the caller owns.
+
+        ``native`` tries the native loop first; ``checked=False`` leaves
+        the deadline monitor out (a bare revolution step).
+        """
+        cfg = self.config
+        rec = _Record(n_turns // cfg.record_every + 1, self.batch, cfg.n_bunches)
+        rec.take(self)
+        t_rev = 1.0 / self.f_rev
+        start = self._run_native(n_turns, t_rev, rec, checked) if native else 0
+        if start < n_turns:
+            self._run_driven(start, n_turns, t_rev, rec, checked)
+        return rec
+
+    def _seed_bunch_offsets(self, offsets) -> None:
+        """Start bunch ``i`` of every lane at ``offsets[i]`` seconds
+        (the scalar bench's per-bunch ``initial_delta_t``; the config's
+        per-lane offsets apply one value to every bunch of a lane)."""
+        offsets = np.asarray(offsets, dtype=float)
+        for i, value in enumerate(offsets):
+            self._executor.set_register(f"dt[{i}]", float(value))
+        self._delta_t[:] = offsets
+
 
 _READ, _READ_ADDR, _WRITE = (
     TAPE_OPS[op] for op in (Op.SENSOR_READ, Op.SENSOR_READ_ADDR, Op.ACTUATOR_WRITE)
@@ -642,6 +681,10 @@ def _fill_fault_tables(faults, tables, n: int, t: float, t_rev: float) -> None:
     """Evaluate ``faults`` at the start times of the next ``n`` turns
     (``t`` advanced by ``t_rev`` exactly as the loop advances it)."""
     active, stuck, phase, gain, clip, mask = tables
+    # t + n·t_rev bounds the block's last turn start by a whole period.
+    if faults.idle_before(t + n * t_rev):
+        active[:n] = 0
+        return
     for k in range(n):
         faults.update(t)
         active[k] = faults.active

@@ -8,13 +8,29 @@ on the gap phase.
 
 Two engines share identical physics and calibration:
 
-* ``engine="cgra"`` — every revolution runs one cycle-accurate iteration
-  of the compiled CGRA contexts against analytic (optionally
-  ADC-quantised) sensor handlers.  This is the reference implementation
-  and validates the real hardware path, at interpreter speed.
-* ``engine="python"`` — the same model equations inlined in Python
-  floats, ~100× faster; used for second-scale Fig.-5 runs.  A dedicated
-  test pins both engines against each other turn by turn.
+* ``engine="cgra"`` — every revolution runs one iteration of the
+  compiled CGRA contexts against analytic (optionally ADC-quantised)
+  sensor handlers, at ``precision``.  This validates the real hardware
+  path.
+* ``engine="python"`` — the same model equations in double precision;
+  used for the second-scale Fig.-5 runs.  Both engines produce
+  bit-identical traces at double precision (pinned by a test).
+
+Two backends run them, chosen once at construction:
+
+* **lane** — when the native revolution loop (:mod:`repro.hil.native`)
+  loads, the bench is a B = 1 lane of
+  :class:`~repro.hil.batch.BatchedCavityInTheLoop`: the whole revolution
+  runs in C, ``engine="python"`` as the double-precision kernel tape,
+  ``engine="cgra"`` at ``precision``.
+* **per-turn loop** — one Python :meth:`CavityInTheLoop.step_revolution`
+  per revolution, with the hand-written equations (``python``) or the
+  scalar :class:`~repro.cgra.executor.CgraExecutor` (``cgra``).  It
+  runs every config when no C compiler is available, plus the configs
+  a lane cannot express (dual-harmonic gap, the interpreted CGRA
+  engine, the ``mean`` control source over 8+ bunches), and it is the
+  oracle the lane is tested against byte for byte
+  (``CavityInTheLoop(config, _native=False)``).
 
 Real-time accounting: the CGRA model is compiled either way, its
 schedule length is checked against the revolution period once per run
@@ -26,6 +42,7 @@ Python time is *not* the real-time claim — see DESIGN.md §5.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -46,6 +63,7 @@ from repro.constants import SPEED_OF_LIGHT, TWO_PI, deg_to_rad
 from repro.control import BeamPhaseControlLoop, ControlLoopConfig
 from repro.errors import ConfigurationError, ExecutionError, HilError
 from repro.faults.spec import FaultSpec
+from repro.hil.batch import BatchedCavityInTheLoop, BatchHilConfig
 from repro.hil.realtime import DeadlineMonitor, JitterStats
 from repro.obs import get_registry, get_tracer, record_hil_run
 from repro.obs._state import STATE as _OBS
@@ -62,6 +80,13 @@ __all__ = ["HilConfig", "HilRunResult", "CavityInTheLoop"]
 #: Shared with the framework path (get-or-create by name).
 _HIL_ITERATIONS = get_registry().counter(
     "hil_iterations_total", "HIL model iterations run"
+)
+#: Filed for the updates a lane-backed bench runs in the native loop.
+_CONTROL_UPDATES = get_registry().counter(
+    "control_updates_total", "control-loop filter updates executed"
+)
+_CONTROL_SATURATIONS = get_registry().counter(
+    "control_saturation_total", "updates clipped at the saturation limit"
 )
 
 
@@ -96,6 +121,8 @@ class HilConfig:
     #: ``"compiled"``, or None for the session default
     #: (:func:`repro.cgra.set_default_engine`).  Both are bit-exact.
     cgra_engine: str | None = None
+    #: CGRA arithmetic, ``"single"`` or ``"double"``, for ``engine="cgra"``
+    #: (the python engine always computes in double precision).
     precision: str = "single"
     pipelined: bool = True
     cgra_config: CgraConfig = field(default_factory=CgraConfig)
@@ -132,6 +159,12 @@ class HilConfig:
             resolve_engine(self.cgra_engine)
         except ExecutionError as exc:
             raise ConfigurationError(f"cgra_engine: {exc}") from None
+        if self.precision not in ("single", "double"):
+            raise ConfigurationError(
+                f"precision must be 'single' or 'double', got {self.precision!r}"
+            )
+        if not math.isfinite(self.jump_deg):
+            raise ConfigurationError(f"jump_deg must be finite, got {self.jump_deg}")
         if self.harmonic < 1:
             raise ConfigurationError("harmonic must be >= 1")
         if self.n_bunches < 1 or self.n_bunches > self.harmonic:
@@ -155,6 +188,12 @@ class HilConfig:
             raise ConfigurationError(
                 f"initial_delta_t needs {self.n_bunches} entries, "
                 f"got {len(self.initial_delta_t)}"
+            )
+        if self.initial_delta_t is not None and not all(
+            math.isfinite(v) for v in self.initial_delta_t
+        ):
+            raise ConfigurationError(
+                f"initial_delta_t must be finite, got {self.initial_delta_t}"
             )
         if self.control_source not in ("bunch0", "mean"):
             raise ConfigurationError(
@@ -210,7 +249,7 @@ class CavityInTheLoop:
     the paper.
     """
 
-    def __init__(self, config: HilConfig) -> None:
+    def __init__(self, config: HilConfig, _native: bool = True) -> None:
         self.config = config
         ring, ion = config.ring, config.ion
         self.f_rev = config.revolution_frequency
@@ -271,7 +310,21 @@ class CavityInTheLoop:
         else:
             self._faults = None
 
-        self.model: CompiledModel = compile_beam_model(
+        #: The B = 1 batched bench backing this one, or None for the
+        #: per-turn loop; ``_native=False`` forces the per-turn loop (the
+        #: oracle seam of the parity tests).
+        self._lane = self._lane_bench(tuple(faults)) if _native else None
+        if self._lane is not None:
+            self.model: CompiledModel = self._lane.model
+            self.deadline = self._lane.deadline
+            self.control = _LaneControl(self._lane.control)
+            # The lane's sensor handlers hold it in a reference cycle;
+            # cutting it when this bench dies frees the lane (deadline
+            # record, registers) at once, not at the next full collection.
+            weakref.finalize(self, setattr, self._lane, "_executor", None)
+            return
+
+        self.model = compile_beam_model(
             n_bunches=config.n_bunches,
             pipelined=config.pipelined,
             config=config.cgra_config,
@@ -295,8 +348,7 @@ class CavityInTheLoop:
         if config.engine == "cgra":
             self._executor = self._build_executor()
             for i, value in enumerate(initial):
-                if value != 0.0:
-                    self._executor.set_register(f"dt[{i}]", float(value))
+                self._executor.set_register(f"dt[{i}]", float(value))
         else:
             self._py_gamma_r = self.gamma0
             self._py_dgamma = np.zeros(config.n_bunches)
@@ -306,6 +358,65 @@ class CavityInTheLoop:
             self._py_prev_v_r = 0.0
             self._py_prev_v_a = np.zeros(config.n_bunches)
         self._delta_t[:] = initial
+
+    def _lane_bench(self, faults: tuple[FaultSpec, ...]) -> BatchedCavityInTheLoop | None:
+        """The B = 1 batched bench that runs this config in the native
+        revolution loop, or None when the per-turn loop runs it: no
+        native loop, a dual-harmonic gap, the interpreted CGRA engine, a
+        kernel without a tape, or a mean over 8+ bunches (NumPy sums
+        those pairwise, the native loop sequentially)."""
+        cfg = self.config
+        if self._dh_ratio or (
+            cfg.engine == "cgra" and resolve_engine(cfg.cgra_engine) != "compiled"
+        ):
+            return None
+        if cfg.control_source == "mean" and cfg.n_bunches >= 8:
+            return None
+        from repro.hil import native
+
+        if native.library() is None:
+            return None
+        lane = BatchedCavityInTheLoop(BatchHilConfig(
+            ring=cfg.ring,
+            ion=cfg.ion,
+            jump_deg=(cfg.jump_deg,),
+            harmonic=cfg.harmonic,
+            revolution_frequency=cfg.revolution_frequency,
+            synchrotron_frequency=cfg.synchrotron_frequency,
+            jump_toggle_period=cfg.jump_toggle_period,
+            jump_start_time=cfg.jump_start_time,
+            control=cfg.control,
+            n_bunches=cfg.n_bunches,
+            # The python engine's equations are the double-precision kernel.
+            precision="double" if cfg.engine == "python" else cfg.precision,
+            pipelined=cfg.pipelined,
+            cgra_config=cfg.cgra_config,
+            quantize_adc=cfg.quantize_adc,
+            adc_amplitude=cfg.adc_amplitude,
+            record_every=cfg.record_every,
+            control_source=cfg.control_source,
+            faults=faults,
+        ))
+        if lane._executor.program.tape is None:
+            return None
+        if cfg.initial_delta_t is not None:
+            lane._seed_bunch_offsets(cfg.initial_delta_t)
+        return lane
+
+    def _lane_turns(self, n_turns: int, checked: bool):
+        """Advance the lane by ``n_turns`` revolutions and file the
+        control telemetry the per-turn loop files per update."""
+        ctrl = self._lane.control
+        tick0, saturations0 = ctrl._tick, ctrl.saturation_count
+        rec = self._lane._run_turns(n_turns, native=True, checked=checked)
+        div = ctrl.config.update_divider
+        updates = -(-ctrl._tick // div) - -(-tick0 // div)
+        if _OBS.enabled and updates:
+            _CONTROL_UPDATES.inc(updates)
+            saturations = ctrl.saturation_count - saturations0
+            if saturations:
+                _CONTROL_SATURATIONS.inc(saturations)
+        return rec
 
     # -- engine plumbing -------------------------------------------------
 
@@ -444,6 +555,8 @@ class CavityInTheLoop:
         a +x° reading (the Fig. 5 convention) — see
         :mod:`repro.control.beam_phase_loop` for the sign derivation.
         """
+        if self._lane is not None:
+            return float(self._lane.measured_phase_deg()[0])
         if self.config.control_source == "mean":
             dt = float(self._delta_t.mean())
         else:
@@ -457,7 +570,11 @@ class CavityInTheLoop:
         **actuate** (gap phase programming), **compute** (beam model
         iteration), **sense** (DSP measurement + control update).  Off
         the profiled path this costs a single flag check per revolution.
+        A lane-backed bench advances its lane by one turn instead.
         """
+        if self._lane is not None:
+            self._lane_turns(1, checked=False)
+            return
         if _OBS.profile:
             self._step_revolution_profiled()
             return
@@ -505,8 +622,52 @@ class CavityInTheLoop:
         if duration <= 0:
             raise HilError("duration must be positive")
         n_turns = int(round(duration * self.f_rev))
-        # The revolution period is constant in this scenario: check the
-        # real-time budget once per revolution via the monitor (cheap).
+        span_attrs = dict(
+            engine=self.config.engine, duration_s=duration, n_turns=n_turns
+        )
+        if self._faults is not None:
+            span_attrs["fault"] = self._faults.label
+        with get_tracer().span("hil.run", **span_attrs):
+            if self._lane is not None:
+                rec = self._lane_turns(n_turns, checked=True)
+                n = rec.idx
+                # The lane records amplitude × unit drive, which is -0.0
+                # at rest for a negative amplitude; the scalar trace is
+                # the drive itself (+0.0 at rest).
+                traces = (rec.time[:n], rec.phase[:n, 0], rec.corr[:n, 0],
+                          self.jump.phase_deg_at(rec.time[:n]), rec.dt[:n, 0],
+                          rec.dt_all[:n, 0], rec.gamma[:n, 0])
+            else:
+                traces = self._run_turns(n_turns)
+        # allow_empty guards the degenerate sub-revolution duration
+        # (n_turns == 0): well-defined empty stats, not a crash.
+        stats = self.deadline.stats(allow_empty=True)
+        if _OBS.enabled:
+            _HIL_ITERATIONS.inc(n_turns, engine=self.config.engine)
+            extras = {}
+            if self._faults is not None:
+                extras["fault"] = self._faults.label
+            record_hil_run(
+                name="cavity_in_the_loop",
+                stats=stats,
+                schedule_length=self.model.schedule_length,
+                engine=self.config.engine,
+                duration_s=duration,
+                f_rev_hz=self.f_rev,
+                control_saturations=self.control.saturation_count,
+                **extras,
+            )
+        return HilRunResult(
+            *traces,
+            deadline=stats,
+            schedule_length=self.model.schedule_length,
+            engine=self.config.engine,
+        )
+
+    def _run_turns(self, n_turns: int) -> tuple[np.ndarray, ...]:
+        """The per-turn loop: ``n_turns`` revolutions, one Python
+        :meth:`step_revolution` each; returns the recorded traces in
+        :class:`HilRunResult` field order."""
         rec_every = self.config.record_every
         n_rec = n_turns // rec_every + 1
         time = np.empty(n_rec)
@@ -534,45 +695,32 @@ class CavityInTheLoop:
             idx += 1
 
         record()
+        # The revolution period is constant in this scenario: check the
+        # real-time budget once per revolution via the monitor (cheap).
         t_rev = 1.0 / self.f_rev
-        span_attrs = dict(
-            engine=self.config.engine, duration_s=duration, n_turns=n_turns
-        )
-        if self._faults is not None:
-            span_attrs["fault"] = self._faults.label
-        with get_tracer().span("hil.run", **span_attrs):
-            for n in range(n_turns):
-                self.deadline.check_revolution(t_rev)
-                self.step_revolution()
-                if (n + 1) % rec_every == 0:
-                    record()
-        # allow_empty guards the degenerate sub-revolution duration
-        # (n_turns == 0): well-defined empty stats, not a crash.
-        stats = self.deadline.stats(allow_empty=True)
-        if _OBS.enabled:
-            _HIL_ITERATIONS.inc(n_turns, engine=self.config.engine)
-            extras = {}
-            if self._faults is not None:
-                extras["fault"] = self._faults.label
-            record_hil_run(
-                name="cavity_in_the_loop",
-                stats=stats,
-                schedule_length=self.model.schedule_length,
-                engine=self.config.engine,
-                duration_s=duration,
-                f_rev_hz=self.f_rev,
-                control_saturations=self.control.saturation_count,
-                **extras,
-            )
-        return HilRunResult(
-            time=time[:idx],
-            phase_deg=phase[:idx],
-            correction_deg=corr[:idx],
-            jump_deg=jump[:idx],
-            delta_t=dts[:idx],
-            delta_t_all=dts_all[:idx],
-            gamma_ref=gam[:idx],
-            deadline=stats,
-            schedule_length=self.model.schedule_length,
-            engine=self.config.engine,
-        )
+        for n in range(n_turns):
+            self.deadline.check_revolution(t_rev)
+            self.step_revolution()
+            if (n + 1) % rec_every == 0:
+                record()
+        return (time[:idx], phase[:idx], corr[:idx], jump[:idx], dts[:idx],
+                dts_all[:idx], gam[:idx])
+
+
+class _LaneControl:
+    """The control state of a lane-backed bench, read the way
+    :class:`~repro.control.BeamPhaseControlLoop` exposes it."""
+
+    def __init__(self, loop) -> None:
+        self._loop = loop
+        self.config = loop.config
+
+    @property
+    def last_output_deg(self) -> float:
+        """Most recent correction, in degrees."""
+        return float(self._loop.last_output_deg[0])
+
+    @property
+    def saturation_count(self) -> int:
+        """Number of updates that hit the saturation limit."""
+        return self._loop.saturation_count

@@ -1,12 +1,9 @@
 """Batched HIL bench vs per-lane scalar runs.
 
 The batched bench advances B full closed loops with one compiled
-program.  Its contract: each lane evolves exactly as a scalar
-``CavityInTheLoop`` run with that lane's jump amplitude (same engine,
-same quantisation).  The model math is bit-exact per lane; the analytic
-``np.sin`` sensors match ``math.sin`` on this platform, so the traces
-compare with exact equality here — fall back to allclose only if a
-platform's libm disagrees (see docs/PERFORMANCE.md).
+program.  Its contract: each lane evolves exactly as the scalar
+``CavityInTheLoop`` per-turn loop run with that lane's jump amplitude
+(same engine, same quantisation), bit for bit (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ class TestBatchedHil:
         batched = BatchedCavityInTheLoop(_batch_config()).run(duration)
         assert batched.batch == len(AMPS)
         for lane, amp in enumerate(AMPS):
-            scalar = CavityInTheLoop(_scalar_config(amp)).run(duration)
+            scalar = CavityInTheLoop(_scalar_config(amp), _native=False).run(duration)
             assert np.array_equal(batched.time, scalar.time)
             for name in ("phase_deg", "correction_deg", "jump_deg",
                          "delta_t", "gamma_ref"):
@@ -132,6 +129,16 @@ class TestBatchedHil:
             )
         with pytest.raises(HilError):
             BatchedCavityInTheLoop(_batch_config()).run(0.0)
+
+    @pytest.mark.parametrize("overrides, text", [
+        (dict(jump_deg=(4.0, float("nan"))), "jump_deg must be finite"),
+        (dict(jump_deg=(float("inf"),)), "jump_deg must be finite"),
+        (dict(initial_delta_t=(0.0, float("nan"), 0.0)), "initial_delta_t must be finite"),
+        (dict(precision="half"), "precision must be"),
+    ])
+    def test_bad_values_rejected_at_construction(self, overrides, text):
+        with pytest.raises(ConfigurationError, match=text):
+            _batch_config(**overrides)
 
     def test_batch_property(self):
         assert _batch_config().batch == len(AMPS)

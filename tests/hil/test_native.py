@@ -135,6 +135,24 @@ def test_without_a_compiler_csvs_are_byte_identical(monkeypatch, tmp_path, fresh
     assert got and got == want
 
 
+def test_fig5a_without_a_compiler_is_byte_identical(monkeypatch, tmp_path, fresh_native):
+    """The scalar bench runs as a native lane with a compiler and on its
+    per-turn loop without one: the Fig. 5a CSV must not move."""
+    from repro.experiments import mde
+    from repro.hil import CavityInTheLoop
+
+    assert CavityInTheLoop(mde.bench_config())._lane is not None
+    assert main(["fig5a", "--quick", "--out", str(tmp_path / "native")]) == 0
+    monkeypatch.setattr(native, "_LIB", None)
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
+    assert CavityInTheLoop(mde.bench_config())._lane is None
+    assert main(["fig5a", "--quick", "--out", str(tmp_path / "python")]) == 0
+    assert native._LIB is False
+    got, want = _csvs(tmp_path / "python"), _csvs(tmp_path / "native")
+    assert got and got == want
+
+
 def test_sin_mismatch_disables_the_library(monkeypatch, fresh_native):
     monkeypatch.setattr(native, "_sin_matches", lambda lib: False)
     assert native.library() is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, HilError
+from repro.hil import native
 from repro.hil.simulator import CavityInTheLoop, HilConfig
 from repro.physics import SIS18, KNOWN_IONS
 from repro.physics.oscillation import estimate_oscillation_frequency
@@ -30,6 +31,18 @@ class TestConfigValidation:
     def test_adc_amplitude_bounds(self):
         with pytest.raises(ConfigurationError):
             config(adc_amplitude=1.5)  # beyond the 2 Vpp input limit
+
+    @pytest.mark.parametrize("overrides, text", [
+        (dict(jump_deg=float("nan")), "jump_deg must be finite"),
+        (dict(jump_deg=float("-inf")), "jump_deg must be finite"),
+        (dict(initial_delta_t=(float("nan"),)), "initial_delta_t must be finite"),
+        (dict(n_bunches=2, initial_delta_t=(0.0, float("inf"))),
+         "initial_delta_t must be finite"),
+        (dict(precision="half"), "precision must be"),
+    ])
+    def test_bad_values_rejected_at_construction(self, overrides, text):
+        with pytest.raises(ConfigurationError, match=text):
+            config(**overrides)
 
     def test_control_rate_must_match_revolution(self):
         from repro.control import ControlLoopConfig
@@ -120,16 +133,20 @@ class TestEngines:
     @pytest.mark.parametrize("pipelined", [True, False])
     def test_cgra_python_equivalence(self, pipelined):
         """The headline invariant: both engines produce identical traces
-        at double precision."""
-        r_cgra = CavityInTheLoop(
-            config(engine="cgra", precision="double", pipelined=pipelined,
-                   record_every=1)
-        ).run(0.004)
-        r_py = CavityInTheLoop(
-            config(engine="python", pipelined=pipelined, record_every=1)
-        ).run(0.004)
-        np.testing.assert_allclose(r_cgra.phase_deg, r_py.phase_deg, atol=1e-9)
-        np.testing.assert_allclose(r_cgra.delta_t, r_py.delta_t, atol=1e-18)
+        at double precision — on the per-turn loop (the hand-written
+        equations vs the compiled executor) and on the lane backend,
+        which runs ``engine="python"`` as the double-precision kernel."""
+        for use_native in (False, True):
+            r_cgra = CavityInTheLoop(
+                config(engine="cgra", precision="double", pipelined=pipelined,
+                       record_every=1), _native=use_native,
+            ).run(0.004)
+            r_py = CavityInTheLoop(
+                config(engine="python", pipelined=pipelined, record_every=1),
+                _native=use_native,
+            ).run(0.004)
+            np.testing.assert_array_equal(r_cgra.phase_deg, r_py.phase_deg)
+            np.testing.assert_array_equal(r_cgra.delta_t, r_py.delta_t)
 
     def test_single_precision_close_to_double(self):
         r32 = CavityInTheLoop(config(engine="cgra", precision="single",
@@ -145,3 +162,55 @@ class TestEngines:
         r_i = CavityInTheLoop(config(quantize_adc=False, record_every=1)).run(0.004)
         diff = np.abs(r_q.phase_deg - r_i.phase_deg).max()
         assert 0.0 < diff < 0.5  # quantisation visible but tiny
+
+
+class TestBackend:
+    """Which loop runs a config: the B = 1 native lane or the per-turn
+    loop (the oracle, and the only loop for what the lane cannot run)."""
+
+    def test_lane_backend_when_the_native_loop_loads(self):
+        if native.library() is None:
+            pytest.skip("no working C compiler for the native loop")
+        for engine in ("python", "cgra"):
+            sim = CavityInTheLoop(config(engine=engine))
+            assert sim._lane is not None
+            assert sim._lane._executor.precision == (
+                "double" if engine == "python" else "single")
+
+    @pytest.mark.parametrize("overrides", [
+        dict(dual_harmonic_ratio=0.2),
+        dict(engine="cgra", cgra_engine="interpreted"),
+    ], ids=["dual-harmonic", "interpreted"])
+    def test_per_turn_backend_for_what_the_lane_cannot_run(self, overrides):
+        sim = CavityInTheLoop(config(**overrides))
+        assert sim._lane is None
+        res = sim.run(0.001)
+        assert res.deadline.n_iterations == 800
+
+    def test_scalar_fault_rules_on_either_backend(self):
+        from repro.errors import FaultSpecError
+        from repro.faults.spec import FaultKind, FaultSpec
+
+        spec = FaultSpec(kind=FaultKind.CAVITY_FAILURE, magnitude=0.5, onset_time=0.0,
+                         target=1)
+        for use_native in (True, False):
+            with pytest.raises(FaultSpecError, match="on a scalar bench"):
+                CavityInTheLoop(config(faults=(spec,)), _native=use_native)
+
+    def test_lane_telemetry_is_filed_once_under_scalar_names(self):
+        from repro import obs
+
+        obs.enable()
+        obs.reset()
+        try:
+            CavityInTheLoop(config()).run(0.001)
+            reports = obs.run_reports()
+            snap = obs.get_registry().snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert [(r.name, r.engine, r.n_iterations) for r in reports] == [
+            ("cavity_in_the_loop", "python", 800)]
+        assert snap["hil_iterations_total"]["series"] == {"engine=python": 800.0}
+        assert "hil_lane_iterations_total" not in snap or not snap[
+            "hil_lane_iterations_total"]["series"]
